@@ -127,12 +127,15 @@ def main(argv=None) -> int:
     configs = required_configs(selected, cache.suite())
     if configs:
         start = time.time()
+        aliased = cache.runner.aliased
         with timer.phase("sweep"):
             simulated = cache.prefetch(configs)
+        aliased = cache.runner.aliased - aliased
         if not args.quiet:
             print(
                 f"[sweep: {len(configs)} configurations, {simulated} "
-                f"simulated ({cache.runner.jobs} jobs), "
+                f"simulated, {aliased} served by a twin "
+                f"({cache.runner.jobs} jobs), "
                 f"{time.time() - start:.1f}s]"
             )
         if args.sanitize:
@@ -181,6 +184,7 @@ def main(argv=None) -> int:
         extra={
             "scale": args.scale,
             "simulations": cache.simulations,
+            "aliased": cache.runner.aliased,
             "jobs": cache.runner.jobs,
         },
     )

@@ -129,8 +129,9 @@ class RunCache:
         signature (``name`` plus optional ``protocol`` / ``predictor`` /
         ``collect_epochs`` / ``max_entries``).  Everything not already
         memoized or on disk is simulated — fanned out over the worker
-        pool when ``jobs > 1`` — so subsequent :meth:`get` calls are pure
-        cache hits.  Returns the number of simulations executed.
+        pool when ``jobs > 1`` — or served from a twin in the batch, so
+        subsequent :meth:`get` calls are pure cache hits.  Returns the
+        number of simulations executed.
         """
         specs = [self.spec(**config) for config in configs]
         before = self.runner.simulations

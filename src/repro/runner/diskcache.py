@@ -56,14 +56,18 @@ class DiskCache:
             return None
         except (json.JSONDecodeError, OSError):
             # A partial write from a crashed run; discard and recompute.
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            self.discard(digest)
             self.misses += 1
             return None
         self.hits += 1
         return payload
+
+    def discard(self, digest: str) -> None:
+        """Drop one entry (a no-op when it is already gone)."""
+        try:
+            self.path(digest).unlink()
+        except OSError:
+            pass
 
     def store(self, digest: str, payload: dict) -> None:
         """Atomically persist a payload (write to temp file, then rename)."""

@@ -12,6 +12,27 @@ round-trip, which is what makes parallel and serial sweeps bit-identical.
 no pool, no serialization, live result objects — today's debugging
 behavior, preserved.
 
+**Twin serving.**  Before dispatch, each pending spec is resolved to
+the spec that actually has to be simulated; a spec whose *twin* (a
+spec that simulates to the same counters) is in the same batch or
+already cached is filled in from the twin's result instead of run:
+
+* ``none``, ``UNI`` and ``ORACLE`` ignore ``max_entries``, so a capped
+  spec is served by its uncapped twin;
+* a capped ``SP`` spec is served by its uncapped twin only when that
+  twin's SP-table occupancy (its final size: with no cap nothing is
+  ever evicted, so that is the peak) fits the cap's
+  ``max_entries x num_cores`` entries.  The guard is checked on every
+  run; when it fails, or the occupancy is unknown (a twin read back
+  from disk), the spec is simulated in a further dispatch round;
+* a non-collecting spec is served by its collecting twin with
+  ``epoch_records`` and ``pc_volume`` emptied.
+
+Every spec keeps its own digest: the served payload is memoized and
+stored on disk under it, and its ``cell_times`` entry is the twin's
+measured time, so per-cell timing never drops just because a cell was
+served.  A twin nobody asked for is never simulated to serve a spec.
+
 Observability rides along, strictly after-the-fact, in three layers:
 
 * **Heartbeats + spans.**  Workers publish per-cell heartbeats and
@@ -41,6 +62,7 @@ import multiprocessing
 import os
 import time
 import warnings
+from dataclasses import replace
 
 from repro.runner.diskcache import DiskCache
 from repro.runner.specs import RunSpec
@@ -150,16 +172,35 @@ def _build_engine(spec: RunSpec, workload):
     )
 
 
+def _sp_occupancy(spec: RunSpec, engine) -> int | None:
+    """SP-table occupancy after an uncapped SP run, else ``None``.
+
+    With no cap nothing is ever evicted, so the final size is the
+    peak: the number the capped-twin guard compares with the cap.
+    """
+    if spec.predictor != "SP" or spec.max_entries is not None:
+        return None
+    return len(engine.predictor.table)
+
+
+def _execute(spec: RunSpec) -> tuple:
+    """``(result, sp_occupancy)`` for one configuration."""
+    engine = _build_engine(spec, _load_workload(spec))
+    result = engine.run()
+    return result, _sp_occupancy(spec, engine)
+
+
 def execute_spec(spec: RunSpec) -> SimulationResult:
     """Simulate one configuration (in whatever process this runs in)."""
-    return _build_engine(spec, _load_workload(spec)).run()
+    return _execute(spec)[0]
 
 
 def _traced_execute(spec: RunSpec, tracer, parent, label: str,
                     digest: str) -> tuple:
-    """Like :func:`execute_spec`, wrapped in spans; returns
-    ``(cell_span, result)`` with the cell span still open (the caller
-    closes it after the flush span, attaching the resource sample).
+    """Like :func:`_execute`, wrapped in spans; returns
+    ``(cell_span, result, sp_occupancy)`` with the cell span still open
+    (the caller closes it after the flush span, attaching the resource
+    sample).
 
     The spans wrap the engine — never enter it — so counters stay
     bit-identical with tracing on or off.
@@ -194,7 +235,7 @@ def _traced_execute(spec: RunSpec, tracer, parent, label: str,
                 max(0.0, 1.0 - classes / result.comm_misses), 4
             )
     tracer.finish(run, attrs=run_attrs)
-    return cell, result
+    return cell, result, _sp_occupancy(spec, engine)
 
 
 def _worker_resource() -> dict:
@@ -247,16 +288,39 @@ def _worker(spec: RunSpec) -> tuple:
         tracer = SpanTracer.from_wire(
             _span_wire, sink=lambda kind, rec: _beat(kind, digest, rec)
         )
-        cell, result = _traced_execute(spec, tracer, None, label, digest)
+        cell, result, occupancy = _traced_execute(
+            spec, tracer, None, label, digest
+        )
         flush = tracer.start("flush", parent=cell)
         payload = result.to_dict()
         tracer.finish(flush)
         tracer.finish(cell, resource=_worker_resource())
     else:
-        payload = execute_spec(spec).to_dict()
+        result, occupancy = _execute(spec)
+        payload = result.to_dict()
     elapsed = time.perf_counter() - start
     _beat("finish", digest, elapsed)
-    return digest, payload, elapsed
+    # The occupancy rides beside the payload, never inside it: result
+    # payloads (and every digest pinned over them) stay unchanged.
+    return digest, payload, elapsed, occupancy
+
+
+#: Predictors whose construction ignores ``max_entries``
+#: (``predictors/factory.py``): a capped spec simulates exactly its
+#: uncapped twin.
+_CAP_FREE = frozenset({"none", "UNI", "ORACLE"})
+
+
+def _twins(spec: RunSpec):
+    """``(twin, rule)`` pairs, in preference order: one step each
+    towards a spec that simulates to the same counters."""
+    if spec.max_entries is not None:
+        if spec.predictor in _CAP_FREE:
+            yield replace(spec, max_entries=None), "cap_free"
+        elif spec.predictor == "SP":
+            yield replace(spec, max_entries=None), "sp_guard"
+    if not spec.collect_epochs:
+        yield spec.collecting(), "project"
 
 
 class SweepRunner:
@@ -265,6 +329,7 @@ class SweepRunner:
     ``simulations`` counts actual engine runs this runner triggered
     (in-process or in workers); cache hits do not increment it — the
     zero-re-simulation guarantees in the tests key off this counter.
+    ``aliased`` counts specs served from a twin's result instead.
     """
 
     def __init__(
@@ -299,14 +364,19 @@ class SweepRunner:
             spans = os.environ.get("REPRO_SPANS", "1") != "0"
         self.spans = bool(spans)
         self.simulations = 0
+        self.aliased = 0
         #: Wall seconds per simulated cell (digest-keyed), stamped into
-        #: the ledger entry; cache hits do not appear here.
+        #: the ledger entry; cache hits do not appear here, and a cell
+        #: served from its twin carries the twin's time.
         self.cell_times: dict = {}
         self.last_run_id: str | None = None
         self.last_trace_id: str | None = None
         self.last_span_summary: dict | None = None
         self._results: dict = {}  # digest -> SimulationResult
         self._specs: dict = {}    # digest -> RunSpec (for metrics context)
+        #: digest -> SP-table occupancy of an uncapped SP run simulated
+        #: here (or served from one); the capped-twin guard reads it.
+        self._occupancy: dict = {}
 
     def results(self) -> list:
         """Every result this runner holds (cached or freshly simulated)."""
@@ -324,7 +394,12 @@ class SweepRunner:
         if self.disk is not None:
             payload = self.disk.load(digest)
             if payload is not None:
-                result = SimulationResult.from_dict(payload)
+                try:
+                    result = SimulationResult.from_dict(payload)
+                except (KeyError, TypeError, ValueError, AttributeError):
+                    # Valid JSON of the wrong shape: a miss, recomputed.
+                    self.disk.discard(digest)
+                    return None
                 self._results[digest] = result
                 return result
         return None
@@ -342,20 +417,22 @@ class SweepRunner:
                 f"{spec.predictor} ..."
             )
         start = time.perf_counter()
-        result = execute_spec(spec)
-        self.cell_times[spec.digest()] = time.perf_counter() - start
-        self.simulations += 1
+        result, occupancy = _execute(spec)
+        self._finish_cell(
+            spec.digest(), time.perf_counter() - start, occupancy
+        )
         self._store(spec.digest(), result)
         return result
 
     def run_many(self, specs) -> list:
         """Run every spec (deduplicated); returns results in spec order.
 
-        Cached configurations are served from memo/disk; the rest fan
-        out over the pool when ``jobs > 1``, else run serially in
-        process.  When span tracing is armed this whole method executes
-        under a ``sweep`` root span; when a feed is configured, one
-        feed session brackets it.
+        Cached configurations are served from memo/disk, specs with a
+        twin in the batch or the cache are served from the twin (see
+        the module docstring), and the rest fan out over the pool when
+        ``jobs > 1``, else run serially in process.  When span tracing
+        is armed this whole method executes under a ``sweep`` root
+        span; when a feed is configured, one feed session brackets it.
         """
         unique: dict = {}
         for spec in specs:
@@ -383,53 +460,39 @@ class SweepRunner:
                     attrs={"jobs": self.jobs, "cells": len(unique)},
                 )
                 probe = tracer.start("cache_probe", parent=root)
-            pending = [
-                (digest, spec)
+            pending = {
+                digest: spec
                 for digest, spec in unique.items()
                 if self.fetch(spec) is None
-            ]
+            }
             cached = len(unique) - len(pending)
+            aliases = self._resolve(pending, forced=set())
             if tracer is not None:
-                tracer.finish(
-                    probe, attrs={"pending": len(pending), "cached": cached}
-                )
+                tracer.finish(probe, attrs={
+                    "pending": len(pending) - len(aliases),
+                    "aliased": len(aliases),
+                    "cached": cached,
+                })
             if feed is not None:
                 feed.record(
                     "plan",
                     cells_total=len(unique),
-                    cells_pending=len(pending),
+                    cells_pending=len(pending) - len(aliases),
+                    cells_aliased=len(aliases),
                     cells_cached=cached,
                 )
             if pending:
                 if self.verbose:
                     print(
-                        f"  sweep: {len(pending)} of {len(unique)} "
-                        f"configurations to simulate ({self.jobs} jobs)"
+                        f"  sweep: {len(pending) - len(aliases)} of "
+                        f"{len(unique)} configurations to simulate, "
+                        f"{len(aliases)} served by a twin "
+                        f"({self.jobs} jobs)"
                     )
-                progress = self._make_progress(len(pending))
                 start = time.perf_counter()
-                dispatch = None
-                if tracer is not None:
-                    dispatch = tracer.start(
-                        "dispatch", parent=root,
-                        attrs={"cells": len(pending)},
-                    )
-                try:
-                    if self.jobs > 1 and len(pending) > 1:
-                        self._run_pool(
-                            pending, progress,
-                            tracer=tracer, root=root, feed=feed,
-                        )
-                    else:
-                        self._run_serial(
-                            pending, progress,
-                            tracer=tracer, root=root, feed=feed,
-                        )
-                finally:
-                    if progress is not None:
-                        progress.close()
-                if dispatch is not None:
-                    tracer.finish(dispatch)
+                simulated, served = self._settle(
+                    pending, aliases, tracer=tracer, root=root, feed=feed,
+                )
                 elapsed = time.perf_counter() - start
                 metrics = None
                 if feed is not None or self.ledger:
@@ -438,14 +501,15 @@ class SweepRunner:
                     feed.record(
                         "metric",
                         sweep_s=round(elapsed, 4),
-                        cells_simulated=len(pending),
+                        cells_simulated=len(simulated),
+                        cells_aliased=served,
                         aggregate=metrics["aggregate"],
                     )
                 if tracer is not None:
                     tracer.finish(root)
                     self.last_span_summary = tracer.summary()
                 self._record_sweep(
-                    pending, len(unique), elapsed,
+                    simulated, served, len(unique), elapsed,
                     metrics=metrics, tracer=tracer,
                 )
             elif tracer is not None:
@@ -457,6 +521,124 @@ class SweepRunner:
             if feed is not None:
                 feed.close()
         return [self._results[spec.digest()] for spec in specs]
+
+    # -- twin serving ---------------------------------------------------
+
+    def _resolve(self, pending: dict, forced: set) -> dict:
+        """``digest -> (twin_digest, rule)`` for every pending spec a
+        twin can serve; the rest (and ``forced``) must be simulated.
+
+        A twin qualifies only when it is pending in this batch or
+        already cached: nothing nobody asked for is ever simulated.
+        A capped SP spec needs a twin whose occupancy will be known.
+        """
+        aliases = {}
+        for digest, spec in pending.items():
+            if digest in forced:
+                continue
+            for twin, rule in _twins(spec):
+                twin_digest = twin.digest()
+                if twin_digest in pending:
+                    aliases[digest] = (twin_digest, rule)
+                    break
+                if (rule == "sp_guard"
+                        and twin_digest not in self._occupancy):
+                    continue
+                if self.fetch(twin) is not None:
+                    aliases[digest] = (twin_digest, rule)
+                    break
+        return aliases
+
+    def _settle(self, pending: dict, aliases: dict, tracer=None,
+                root=None, feed=None) -> tuple:
+        """Simulate what has no twin, serve the rest from their twins;
+        returns ``(simulated_digests, served_count)``.
+
+        A spec whose SP guard fails is forced into another dispatch
+        round (with whatever was waiting on it); each round forces at
+        least one more spec, so the loop ends.
+        """
+        simulated, forced = [], set()
+        before = self.aliased
+        while pending:
+            batch = [
+                (digest, spec) for digest, spec in pending.items()
+                if digest not in aliases
+            ]
+            if batch:
+                self._dispatch(batch, tracer=tracer, root=root, feed=feed)
+                simulated += [digest for digest, _ in batch]
+            pending = {
+                digest: pending[digest] for digest in aliases
+                if not self._serve(digest, pending, aliases, forced)
+            }
+            aliases = self._resolve(pending, forced)
+        return simulated, self.aliased - before
+
+    def _serve(self, digest: str, pending: dict, aliases: dict,
+               forced: set) -> bool:
+        """Fill ``digest`` in from its twin (after the twin's own turn);
+        False when the twin is unserved or the SP guard fails."""
+        if digest in self._results:
+            return True
+        if digest not in aliases:
+            return False
+        twin_digest, rule = aliases[digest]
+        if not self._serve(twin_digest, pending, aliases, forced):
+            return False
+        occupancy = self._occupancy.get(twin_digest)
+        if rule == "sp_guard":
+            spec = pending[digest]
+            cap = spec.max_entries * spec.machine.num_cores
+            if occupancy is None or occupancy > cap:
+                forced.add(digest)
+                return False
+        payload = self._results[twin_digest].to_dict()
+        if rule == "project":
+            payload["epoch_records"] = []
+            payload["pc_volume"] = []
+        self._results[digest] = SimulationResult.from_dict(payload)
+        if self.disk is not None:
+            self.disk.store(digest, payload)
+        if occupancy is not None:
+            self._occupancy[digest] = occupancy
+        if twin_digest in self.cell_times:
+            self.cell_times[digest] = self.cell_times[twin_digest]
+        self.aliased += 1
+        return True
+
+    # -- dispatch -------------------------------------------------------
+
+    def _dispatch(self, batch, tracer=None, root=None, feed=None) -> None:
+        """Simulate ``batch`` (``(digest, spec)`` pairs) under one
+        ``dispatch`` span, over the pool or serially."""
+        progress = self._make_progress(len(batch))
+        dispatch = None
+        if tracer is not None:
+            dispatch = tracer.start(
+                "dispatch", parent=root, attrs={"cells": len(batch)},
+            )
+        try:
+            if self.jobs > 1 and len(batch) > 1:
+                self._run_pool(
+                    batch, progress, tracer=tracer, root=root, feed=feed,
+                )
+            else:
+                self._run_serial(
+                    batch, progress, tracer=tracer, root=root, feed=feed,
+                )
+        finally:
+            if progress is not None:
+                progress.close()
+        if dispatch is not None:
+            tracer.finish(dispatch)
+
+    def _finish_cell(self, digest: str, elapsed: float,
+                     occupancy: int | None) -> None:
+        self.cell_times[digest] = elapsed
+        self.simulations += 1
+        if occupancy is not None:
+            self._occupancy[digest] = occupancy
 
     def _run_serial(self, pending, progress, tracer=None, root=None,
                     feed=None) -> None:
@@ -470,7 +652,7 @@ class SweepRunner:
                 feed.record("cell_start", digest=digest, cell=label)
             cell_start = time.perf_counter()
             if tracer is not None:
-                cell, result = _traced_execute(
+                cell, result, occupancy = _traced_execute(
                     spec, tracer, root, label, digest
                 )
                 flush = tracer.start("flush", parent=cell)
@@ -478,11 +660,10 @@ class SweepRunner:
                 tracer.finish(flush)
                 tracer.finish(cell, resource=_worker_resource())
             else:
-                result = execute_spec(spec)
+                result, occupancy = _execute(spec)
                 self._store(digest, result)
             elapsed = time.perf_counter() - cell_start
-            self.cell_times[digest] = elapsed
-            self.simulations += 1
+            self._finish_cell(digest, elapsed, occupancy)
             if feed is not None:
                 feed.record(
                     "cell_finish", digest=digest,
@@ -504,18 +685,20 @@ class SweepRunner:
         )
         return progress if progress.enabled else None
 
-    def _record_sweep(self, pending, total_cells: int, elapsed: float,
-                      metrics: dict | None = None, tracer=None) -> None:
-        """Append this sweep to the run ledger (best-effort)."""
+    def _record_sweep(self, digests, aliased: int, total_cells: int,
+                      elapsed: float, metrics: dict | None = None,
+                      tracer=None) -> None:
+        """Append this sweep to the run ledger (best-effort); its spec
+        digests and cell times are the simulated cells only."""
         if not self.ledger:
             return
         from repro.obs.ledger import record_run
 
-        digests = [digest for digest, _ in pending]
         extra = {
             "cells_total": total_cells,
-            "cells_simulated": len(pending),
-            "cells_cached": total_cells - len(pending),
+            "cells_simulated": len(digests),
+            "cells_aliased": aliased,
+            "cells_cached": total_cells - len(digests) - aliased,
             "jobs": self.jobs,
         }
         if tracer is not None:
@@ -584,11 +767,10 @@ class SweepRunner:
         pool = ctx.Pool(processes=workers, **pool_kw)
         clean = False
         try:
-            for digest, payload, elapsed in pool.imap_unordered(
+            for digest, payload, elapsed, occupancy in pool.imap_unordered(
                 _worker, [spec for _, spec in pending]
             ):
-                self.simulations += 1
-                self.cell_times[digest] = elapsed
+                self._finish_cell(digest, elapsed, occupancy)
                 result = SimulationResult.from_dict(payload)
                 self._results[digest] = result
                 if self.disk is not None:

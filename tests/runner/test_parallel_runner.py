@@ -158,6 +158,20 @@ class TestSweepRunner:
         assert runner.fetch(RunSpec(workload="x264", scale=SCALE)) is None
         assert runner.simulations == 0
 
+    @pytest.mark.parametrize("content", ["{}", "[]"])
+    def test_wrong_shaped_entry_recomputes(self, tmp_path, content):
+        spec = RunSpec(workload="x264", scale=SCALE)
+        clean = SweepRunner(jobs=1, disk=DiskCache(tmp_path / "runs"))
+        [expected] = clean.run_many([spec])
+        disk = DiskCache(tmp_path / "runs")
+        disk.path(spec.digest()).write_text(content)
+        runner = SweepRunner(jobs=1, disk=disk)
+        [result] = runner.run_many([spec])
+        assert runner.simulations == 1
+        assert result.to_dict() == expected.to_dict()
+        # The recomputed payload replaced the bad entry on disk.
+        assert disk.load(spec.digest()) == expected.to_dict()
+
 
 class TestJobsResolution:
     def test_explicit_wins(self, monkeypatch):

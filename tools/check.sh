@@ -24,6 +24,12 @@ echo "== tier-1 without numpy (vector-engine fallback) =="
 # numpy and the whole tier-1 suite must still pass.
 PYTHONPATH="tools/no_numpy_stub:src" python -m pytest -x -q
 
+echo "== benchmark self-tests =="
+# bench/test_bench.py sits outside pytest's testpaths: metric schema,
+# statistics, and a paper-regen smoke through the pool whose every
+# cell must match the pinned reference digests.
+python -m pytest bench/ -q
+
 echo "== differential equivalence (quick grid) =="
 python -m repro check diff --quick --bench "$BENCH_OUT"
 
